@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 
 	"repro/internal/aig"
@@ -22,7 +23,6 @@ import (
 
 func main() {
 	rod := flag.Bool("rod", false, "also compute the Relative Optimizability Difference per flow")
-	extended := flag.Bool("extended", false, "also compute the expensive extended metrics (DeltaCon, approximate GED)")
 	seed := flag.Int64("seed", 1, "seed for randomized flows")
 	checkEquiv := flag.Bool("check", true, "verify the two AIGs are functionally equivalent first")
 	flag.Parse()
@@ -38,10 +38,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *checkEquiv && a.NumPIs() <= 16 && a.NumPIs() == b.NumPIs() && a.NumPOs() == b.NumPOs() {
-		if idx, _ := aig.Equivalent(a, b); idx != -1 {
-			fmt.Fprintf(os.Stderr, "warning: AIGs differ on output %d; metrics assume functional equivalence\n", idx)
-		}
+	if *checkEquiv {
+		checkEquivalence(a, b)
 	}
 
 	fmt.Printf("%-30s %v\n%-30s %v\n\n", flag.Arg(0), a.Stat(), flag.Arg(1), b.Stat())
@@ -56,17 +54,6 @@ func main() {
 		fmt.Printf("%-16s %10.4f   %s\n", m.Name, m.Compute(pa, pb), dir)
 	}
 
-	if *extended {
-		ea, eb := simil.NewExtendedProfile(pa), simil.NewExtendedProfile(pb)
-		for _, m := range simil.ExtendedMetrics() {
-			dir := "higher = more different"
-			if m.HigherIsSimilar {
-				dir = "higher = more similar"
-			}
-			fmt.Printf("%-16s %10.4f   %s (extended)\n", m.Name, m.Compute(ea, eb), dir)
-		}
-	}
-
 	if *rod {
 		fmt.Println()
 		for _, flow := range opt.Flows() {
@@ -75,6 +62,30 @@ func main() {
 			fmt.Printf("ROD(%-11s) = %.4f   (%d vs %d gates)\n",
 				flow.Name, simil.ROD(oa.NumAnds(), ob.NumAnds()), oa.NumAnds(), ob.NumAnds())
 		}
+	}
+}
+
+// checkEquivalence warns on stderr when a and b are not functionally
+// equivalent: exhaustively up to 16 inputs, by 256 rounds of 64-pattern
+// random simulation above that. The metrics still print either way.
+func checkEquivalence(a, b *aig.AIG) {
+	if a.NumPIs() != b.NumPIs() || a.NumPOs() != b.NumPOs() {
+		fmt.Fprintf(os.Stderr, "warning: interfaces differ (%d/%d vs %d/%d PIs/POs); equivalence not checked, metrics assume functional equivalence\n",
+			a.NumPIs(), a.NumPOs(), b.NumPIs(), b.NumPOs())
+		return
+	}
+	var idx int
+	var err error
+	if a.NumPIs() <= 16 {
+		idx, err = aig.Equivalent(a, b)
+	} else {
+		idx, err = aig.RandomSimCheck(a, b, 256, rand.New(rand.NewSource(1)))
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if idx != -1 {
+		fmt.Fprintf(os.Stderr, "warning: AIGs differ on output %d; metrics assume functional equivalence\n", idx)
 	}
 }
 

@@ -55,7 +55,8 @@ const (
 	// reach the file, exactly like a kill or power cut mid-write.
 	ModeTornWrite
 	// ModeLatency stalls the hit for Fault.Latency, then proceeds
-	// without error.
+	// without error. Under HitCtx the stall ends early with ctx.Err()
+	// when the context ends first.
 	ModeLatency
 	// ModeDeadline injects an error wrapping context.DeadlineExceeded.
 	ModeDeadline
@@ -283,8 +284,10 @@ func hitSlow(name string) error {
 // HitCtx is Hit with request attribution: when the point fires and a
 // fire hook is installed, the hook sees (ctx, name, mode) before the
 // fault takes effect — so a trace span in ctx records exactly which
-// request the injected failure landed on. Semantics are otherwise
-// identical to Hit, including the single-atomic-load disabled path.
+// request the injected failure landed on. A latency stall also honours
+// cancellation: it returns ctx.Err() as soon as ctx ends. Semantics are
+// otherwise identical to Hit, including the single-atomic-load disabled
+// path.
 func HitCtx(ctx context.Context, name string) error {
 	if !enabled.Load() {
 		return nil
@@ -305,8 +308,14 @@ func hitSlowCtx(ctx context.Context, name string) error {
 		(*hook)(ctx, name, f.Mode)
 	}
 	if f.Mode == ModeLatency {
-		time.Sleep(f.Latency)
-		return nil
+		stall := time.NewTimer(f.Latency)
+		defer stall.Stop()
+		select {
+		case <-stall.C:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	return injectedError(name, f.Mode)
 }

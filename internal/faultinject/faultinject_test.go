@@ -127,6 +127,23 @@ func TestLatencyModeStallsWithoutError(t *testing.T) {
 	}
 }
 
+func TestLatencyModeHonoursCancellation(t *testing.T) {
+	Reset()
+	defer Reset()
+	Arm("p/stall", Always(), Fault{Mode: ModeLatency, Latency: 10 * time.Second})
+	Enable()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := HitCtx(ctx, "p/stall")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("cancelled latency fault = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("latency fault ignored its deadline: stalled %v", d)
+	}
+}
+
 func TestWrapWriterShortAndTorn(t *testing.T) {
 	Reset()
 	defer Reset()
