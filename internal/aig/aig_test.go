@@ -360,3 +360,51 @@ func TestCutTT(t *testing.T) {
 		t.Error("CutTT at internal leaf wrong")
 	}
 }
+
+func TestFrozenIsReadOnlyCopy(t *testing.T) {
+	g := New(3)
+	x := g.Xor(g.PI(0), g.PI(1))
+	g.AddPO(g.Mux(g.PI(2), x, x.Not()))
+	f := g.Frozen()
+	if f.NumPIs() != g.NumPIs() || f.NumObjs() != g.NumObjs() || f.PO(0) != g.PO(0) {
+		t.Fatal("frozen copy changed the graph's shape")
+	}
+	for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
+		a0, a1 := g.Fanins(id)
+		b0, b1 := f.Fanins(id)
+		if a0 != b0 || a1 != b1 || g.Level(id) != f.Level(id) {
+			t.Fatalf("node %d differs in the frozen copy", id)
+		}
+	}
+	if !f.OutputTTs()[0].Equal(g.OutputTTs()[0]) {
+		t.Fatal("frozen copy computes another function")
+	}
+	// Folding still answers; anything that would add a node panics
+	// before touching the graph.
+	if l := f.And(f.PI(0), LitTrue); l != f.PI(0) {
+		t.Fatalf("folded And = %v, want %v", l, f.PI(0))
+	}
+	n := f.NumObjs()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("And on a frozen AIG did not panic")
+			}
+		}()
+		f.And(f.PI(0).Not(), f.PI(2).Not())
+	}()
+	if f.NumObjs() != n {
+		t.Fatal("the panicking And still added a node")
+	}
+	// A clone stays frozen; Cleanup gives back a mutable graph.
+	func() {
+		defer func() { recover() }()
+		f.Clone().And(f.PI(0).Not(), f.PI(2).Not())
+		t.Error("And on a clone of a frozen AIG did not panic")
+	}()
+	c := f.Cleanup()
+	c.And(c.PI(0).Not(), c.PI(2).Not())
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

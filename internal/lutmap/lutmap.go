@@ -7,7 +7,6 @@ package lutmap
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/aig"
 	"repro/internal/synth"
@@ -130,12 +129,9 @@ func Map(g *aig.AIG, opts Options) Mapping {
 	return mapping
 }
 
-// resynCache memoizes LUT-function structures across Resynthesize calls
-// (keyed by support-compacted hex).
-var resynCache = struct {
-	mu sync.Mutex
-	m  map[string]*aig.AIG
-}{m: make(map[string]*aig.AIG)}
+// resynthesized memoizes the best-structure search for LUT functions
+// above the NPN library's 4-input range.
+var resynthesized = synth.NewMemo(synth.BestStructure)
 
 // Resynthesize converts a LUT mapping back into an AIG, synthesizing each
 // LUT function with the multi-paradigm resynthesis engine (NPN library
@@ -182,18 +178,7 @@ func buildLUT(ng *aig.AIG, f tt.TT, leaves []aig.Lit) aig.Lit {
 	if f.NumVars() <= 4 {
 		mini = synth.LibraryStructure(f)
 	} else {
-		key := f.Hex()
-		resynCache.mu.Lock()
-		cached, ok := resynCache.m[key]
-		resynCache.mu.Unlock()
-		if ok {
-			mini = cached
-		} else {
-			mini = synth.BestStructure(f)
-			resynCache.mu.Lock()
-			resynCache.m[key] = mini
-			resynCache.mu.Unlock()
-		}
+		mini = resynthesized.Get(f)
 	}
 	return synth.Instantiate(ng, mini, leaves)
 }

@@ -91,9 +91,17 @@ func Refactor(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 	return cur
 }
 
-// factoredStructure builds a single-output AIG for f from the smaller of
-// the factored forms of f and its complement.
-func factoredStructure(f tt.TT) *aig.AIG {
+// factored memoizes factoredStructure: refactoring meets the same
+// compacted cone functions over and over, within a pass and across the
+// passes of a flow.
+var factored = synth.NewMemo(buildFactored)
+
+// factoredStructure returns a single-output AIG for f built from the
+// smaller of the factored forms of f and its complement. It is shared
+// and read-only (see synth.Memo).
+func factoredStructure(f tt.TT) *aig.AIG { return factored.Get(f) }
+
+func buildFactored(f tt.TT) *aig.AIG {
 	pos := factoredAIG(f, false)
 	neg := factoredAIG(f.Not(), true)
 	if neg.NumAnds() < pos.NumAnds() {

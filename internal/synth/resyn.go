@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"sync"
-
 	"repro/internal/aig"
 	"repro/internal/tt"
 )
@@ -32,50 +30,27 @@ func BestStructure(f tt.TT) *aig.AIG {
 	return best
 }
 
-// npnLibrary caches the best known structure per NPN-canonical function,
-// keyed by variable count and canonical hex. Access is synchronized so
-// optimization passes can share it.
-type npnLibrary struct {
-	mu sync.Mutex
-	m  map[string]*aig.AIG
-}
+// library holds the best known structure per NPN-canonical function, so
+// every member of a class reuses one synthesis of its canonical form.
+var library = NewMemo(BestStructure)
 
-var library = npnLibrary{m: make(map[string]*aig.AIG)}
-
-// exactCache short-circuits LibraryStructure for functions seen before:
-// the wrapped structure is deterministic per function, and rewriting
-// queries the same cut functions constantly. Keyed by (nvars, words[0]) —
-// LibraryStructure is limited to <= 6 inputs, one word.
-var exactCache = struct {
-	mu sync.Mutex
-	m  map[[2]uint64]*aig.AIG
-}{m: make(map[[2]uint64]*aig.AIG)}
+// byFunction short-circuits LibraryStructure for functions seen before:
+// rewriting queries the same cut functions constantly.
+var byFunction = NewMemo(wrapCanonical)
 
 // LibraryStructure returns a small implementation of f (up to 6 inputs)
 // via the NPN-canonical library: the canonical class is synthesized once
 // and reused for every class member through the recorded transform.
 // The returned AIG implements f itself (transform already applied to the
 // output polarity and input order), over f.NumVars() inputs; input i of
-// the result corresponds to variable i of f.
-func LibraryStructure(f tt.TT) *aig.AIG {
-	ck := [2]uint64{uint64(f.NumVars()), f.Words()[0]}
-	exactCache.mu.Lock()
-	if g, ok := exactCache.m[ck]; ok {
-		exactCache.mu.Unlock()
-		return g
-	}
-	exactCache.mu.Unlock()
+// the result corresponds to variable i of f. It is shared and read-only
+// (see Memo).
+func LibraryStructure(f tt.TT) *aig.AIG { return byFunction.Get(f) }
+
+// wrapCanonical builds f from its canonical class's library structure.
+func wrapCanonical(f tt.TT) *aig.AIG {
 	canon, xf := tt.NPNCanon(f)
-	key := canon.Hex()
-	library.mu.Lock()
-	mini, ok := library.m[key]
-	library.mu.Unlock()
-	if !ok {
-		mini = BestStructure(canon)
-		library.mu.Lock()
-		library.m[key] = mini
-		library.mu.Unlock()
-	}
+	mini := library.Get(canon)
 	// Wrap the canonical structure with the inverse transform: feed input
 	// i of the wrapper (variable i of f) into the canonical input it maps
 	// to, and flip polarities as recorded.
@@ -90,19 +65,11 @@ func LibraryStructure(f tt.TT) *aig.AIG {
 	}
 	out := Instantiate(g, mini, leaves)
 	g.AddPO(out.NotCond(xf.OutFlip))
-	wrapped := g.Cleanup()
-	exactCache.mu.Lock()
-	exactCache.m[ck] = wrapped
-	exactCache.mu.Unlock()
-	return wrapped
+	return g.Cleanup()
 }
 
 // LibrarySize reports how many canonical classes the library holds.
-func LibrarySize() int {
-	library.mu.Lock()
-	defer library.mu.Unlock()
-	return len(library.m)
-}
+func LibrarySize() int { return library.Len() }
 
 // Instantiate copies the single-output mini AIG into dst, substituting
 // leaves for its primary inputs, and returns the output literal.
