@@ -52,7 +52,8 @@ chaos:
 	go test -race ./internal/faultinject ./internal/service/client ./internal/cluster
 	go test -race -run '^TestChaos' ./internal/harness ./internal/service
 
-# bench runs every benchmark once; the pipeline benchmarks report a
+# bench runs every benchmark once; every benchmark reports B/op and
+# allocs/op (-benchmem), the pipeline benchmarks also a
 # telemetry-derived per-stage breakdown (synthesis/profiling/
 # optimization/metrics seconds per op) alongside ns/op, and the same
 # breakdown is written to BENCH_pipeline.json for machine consumption.
@@ -60,4 +61,4 @@ chaos:
 # recall-vs-cost numbers are snapshotted into BENCH_sketch.json.
 bench:
 	BENCH_JSON=BENCH_pipeline.json BENCH_SKETCH_JSON=BENCH_sketch.json \
-		go test -run '^TestSketchRecallContract$$' -bench . -benchtime 1x .
+		go test -run '^TestSketchRecallContract$$' -bench . -benchtime 1x -benchmem .

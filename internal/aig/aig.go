@@ -13,6 +13,7 @@ package aig
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Lit is an edge literal: 2*node + complement, as in AIGER.
@@ -304,55 +305,51 @@ func (g *AIG) MFFCSize(id int, refs []int) int {
 
 // MFFCSizeBounded is MFFCSize with a protected boundary: dereferencing
 // never descends into boundary nodes, which models cut leaves that a
-// replacement structure will still use. refs is restored before return.
-func (g *AIG) MFFCSizeBounded(id int, refs []int, boundary map[int]bool) int {
+// replacement structure will still use. boundary is a short list of node
+// ids (a cut's leaves), searched linearly. refs is restored before
+// return.
+func (g *AIG) MFFCSizeBounded(id int, refs []int, boundary []int) int {
 	if !g.IsAnd(id) {
 		return 0
 	}
-	n := g.derefB(id, refs, boundary)
+	n := g.derefB(id, refs, boundary, nil)
 	g.rerefB(id, refs, boundary)
 	return n
 }
 
 // MFFCNodesBounded returns the AND nodes inside the bounded MFFC of id
 // (including id itself). refs is restored before return.
-func (g *AIG) MFFCNodesBounded(id int, refs []int, boundary map[int]bool) []int {
+func (g *AIG) MFFCNodesBounded(id int, refs []int, boundary []int) []int {
 	if !g.IsAnd(id) {
 		return nil
 	}
-	var nodes []int
-	var collect func(id int)
-	collect = func(id int) {
-		nodes = append(nodes, id)
-		for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
-			fid := f.Node()
-			refs[fid]--
-			if refs[fid] == 0 && g.IsAnd(fid) && !boundary[fid] {
-				collect(fid)
-			}
-		}
-	}
-	collect(id)
+	nodes := make([]int, 0, 8)
+	g.derefB(id, refs, boundary, &nodes)
 	g.rerefB(id, refs, boundary)
 	return nodes
 }
 
-func (g *AIG) derefB(id int, refs []int, boundary map[int]bool) int {
+// derefB dereferences the bounded MFFC of id and returns its size,
+// appending its nodes to *nodes when nodes is non-nil.
+func (g *AIG) derefB(id int, refs []int, boundary []int, nodes *[]int) int {
+	if nodes != nil {
+		*nodes = append(*nodes, id)
+	}
 	n := 1
-	for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
+	for _, f := range [2]Lit{g.fanin0[id], g.fanin1[id]} {
 		fid := f.Node()
 		refs[fid]--
-		if refs[fid] == 0 && g.IsAnd(fid) && !boundary[fid] {
-			n += g.derefB(fid, refs, boundary)
+		if refs[fid] == 0 && g.IsAnd(fid) && !slices.Contains(boundary, fid) {
+			n += g.derefB(fid, refs, boundary, nodes)
 		}
 	}
 	return n
 }
 
-func (g *AIG) rerefB(id int, refs []int, boundary map[int]bool) {
-	for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
+func (g *AIG) rerefB(id int, refs []int, boundary []int) {
+	for _, f := range [2]Lit{g.fanin0[id], g.fanin1[id]} {
 		fid := f.Node()
-		if refs[fid] == 0 && g.IsAnd(fid) && !boundary[fid] {
+		if refs[fid] == 0 && g.IsAnd(fid) && !slices.Contains(boundary, fid) {
 			g.rerefB(fid, refs, boundary)
 		}
 		refs[fid]++

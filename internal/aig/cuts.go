@@ -1,5 +1,7 @@
 package aig
 
+import "slices"
+
 // Cut is a k-feasible cut of a node: a set of leaf node ids (sorted
 // ascending) such that every path from the PIs to the node passes through
 // a leaf. Sign is a 64-bit Bloom signature used for fast dominance tests.
@@ -148,8 +150,10 @@ func sortCutsBySize(cuts []Cut) {
 // leaf count.
 func (g *AIG) ReconvCut(root int, maxLeaves int) []int {
 	leaves := []int{root}
-	inCut := map[int]bool{root: true}
-	visited := map[int]bool{root: true}
+	// visited holds every node that has been a leaf; the cone stays a
+	// few dozen nodes, so a linear scan beats a map.
+	var visitedBuf [32]int
+	visited := append(visitedBuf[:0], root)
 
 	cost := func(id int) int {
 		// Number of fanins not already visited; PIs cannot be expanded.
@@ -157,10 +161,10 @@ func (g *AIG) ReconvCut(root int, maxLeaves int) []int {
 			return 1 << 30
 		}
 		c := 0
-		if !visited[g.fanin0[id].Node()] {
+		if !slices.Contains(visited, g.fanin0[id].Node()) {
 			c++
 		}
-		if !visited[g.fanin1[id].Node()] {
+		if !slices.Contains(visited, g.fanin1[id].Node()) {
 			c++
 		}
 		return c
@@ -187,12 +191,12 @@ func (g *AIG) ReconvCut(root int, maxLeaves int) []int {
 			}
 		}
 		leaves = kept
-		delete(inCut, best)
-		for _, f := range []Lit{g.fanin0[best], g.fanin1[best]} {
+		for _, f := range [2]Lit{g.fanin0[best], g.fanin1[best]} {
 			fid := f.Node()
-			visited[fid] = true
-			if !inCut[fid] {
-				inCut[fid] = true
+			if !slices.Contains(visited, fid) {
+				visited = append(visited, fid)
+			}
+			if !slices.Contains(leaves, fid) {
 				leaves = append(leaves, fid)
 			}
 		}

@@ -139,3 +139,109 @@ func TestReconvCut(t *testing.T) {
 		cutIsValid(t, g, tabs, id, Cut{Leaves: leaves, Sign: cutSign(leaves)})
 	}
 }
+
+// TestCutTTWordMatchesWide pins the single-word CutTT kernel to the
+// general per-node-table evaluation on every cut EnumerateCuts and
+// ReconvCut produce for random AIGs.
+func TestCutTTWordMatchesWide(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	checked := 0
+	same := func(g *AIG, id int, leaves []int) {
+		t.Helper()
+		got, want := g.CutTT(id, leaves), g.cutTTWide(id, leaves)
+		if !got.Equal(want) {
+			t.Fatalf("node %d leaves %v: CutTT = %s, general path %s", id, leaves, got.Hex(), want.Hex())
+		}
+		checked++
+	}
+	for trial := 0; trial < 6; trial++ {
+		g := randomAIG(6+trial, 60+40*trial, r)
+		for _, k := range []int{4, 6} {
+			cuts := g.EnumerateCuts(CutParams{K: k})
+			for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
+				for _, c := range cuts[id] {
+					same(g, id, c.Leaves)
+				}
+			}
+		}
+		for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
+			for _, max := range []int{3, 5} {
+				if leaves := g.ReconvCut(id, max); len(leaves) <= 6 {
+					same(g, id, leaves)
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d cuts checked", checked)
+	}
+}
+
+func TestCutTTPanicsOutsideCut(t *testing.T) {
+	// n is the AND of all eight inputs; both leaf sets miss input 0, one
+	// on the single-word path and one on the general path.
+	g := New(8)
+	n := g.PI(0)
+	for i := 1; i < 8; i++ {
+		n = g.And(n, g.PI(i))
+	}
+	g.AddPO(n)
+	for _, leaves := range [][]int{{7, 8}, {2, 3, 4, 5, 6, 7, 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CutTT over %v (not a cut) did not panic", leaves)
+				}
+			}()
+			g.CutTT(n.Node(), leaves)
+		}()
+	}
+}
+
+func TestCutKernelAllocs(t *testing.T) {
+	g := randomAIG(8, 120, rand.New(rand.NewSource(45)))
+	cuts := g.EnumerateCuts(CutParams{K: 6})
+	refs := g.RefCounts()
+	id := g.NumObjs() - 1
+	var cut Cut
+	for _, c := range cuts[id] {
+		if len(c.Leaves) > len(cut.Leaves) {
+			cut = c
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { g.CutTT(id, cut.Leaves) }); a > 2 {
+		t.Errorf("CutTT on a %d-leaf cut: %v allocs, want <= 2", len(cut.Leaves), a)
+	}
+	if a := testing.AllocsPerRun(100, func() { g.MFFCSizeBounded(id, refs, cut.Leaves) }); a != 0 {
+		t.Errorf("MFFCSizeBounded: %v allocs, want 0", a)
+	}
+}
+
+// TestMFFCBoundedNodes checks MFFCNodesBounded against MFFCSizeBounded
+// and that both restore the reference counts.
+func TestMFFCBoundedNodes(t *testing.T) {
+	g := randomAIG(8, 120, rand.New(rand.NewSource(46)))
+	cuts := g.EnumerateCuts(CutParams{K: 4})
+	refs := g.RefCounts()
+	for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
+		for _, c := range cuts[id] {
+			size := g.MFFCSizeBounded(id, refs, c.Leaves)
+			nodes := g.MFFCNodesBounded(id, refs, c.Leaves)
+			if len(nodes) != size || nodes[0] != id {
+				t.Fatalf("node %d cut %v: %d nodes %v, size %d", id, c.Leaves, len(nodes), nodes, size)
+			}
+			for _, n := range nodes[1:] {
+				for _, l := range c.Leaves {
+					if n == l {
+						t.Fatalf("node %d cut %v: MFFC crosses leaf %d", id, c.Leaves, l)
+					}
+				}
+			}
+		}
+	}
+	for i, want := range g.RefCounts() {
+		if refs[i] != want {
+			t.Fatal("bounded MFFC left reference counts changed")
+		}
+	}
+}

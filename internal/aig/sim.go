@@ -177,8 +177,61 @@ func (g *AIG) Eval(input uint64) []bool {
 
 // CutTT computes the local truth table of node root expressed over the
 // given cut leaves (at most tt.MaxVars of them). Leaves are node ids; the
-// i-th leaf becomes variable i.
+// i-th leaf becomes variable i. A cut of at most six leaves evaluates
+// into one word: the leaves and the cone's few AND nodes sit in a stack
+// array searched linearly. Wider cuts go through cutTTWide.
 func (g *AIG) CutTT(root int, leaves []int) tt.TT {
+	if len(leaves) > 6 {
+		return g.cutTTWide(root, leaves)
+	}
+	var buf [32]cutNode
+	known := buf[:0]
+	for i, leaf := range leaves {
+		known = append(known, cutNode{leaf, cutVarWords[i]})
+	}
+	w, _ := g.cutEval(root, known)
+	return tt.FromWords(len(leaves), []uint64{w}) // masks the unused bits
+}
+
+// cutVarWords[i] is the table word of variable i over six variables.
+var cutVarWords = func() (w [6]uint64) {
+	for i := range w {
+		w[i] = tt.Var(i, 6).Words()[0]
+	}
+	return w
+}()
+
+// cutNode is one evaluated node of a cut cone: its id and table word.
+type cutNode struct {
+	id int
+	w  uint64
+}
+
+// cutEval returns the word of node id, appending every node it evaluates
+// to known.
+func (g *AIG) cutEval(id int, known []cutNode) (uint64, []cutNode) {
+	for _, k := range known {
+		if k.id == id {
+			return k.w, known
+		}
+	}
+	if !g.IsAnd(id) {
+		panic(fmt.Sprintf("aig: CutTT reached non-AND node %d outside the cut", id))
+	}
+	f0, f1 := g.fanin0[id], g.fanin1[id]
+	a, known := g.cutEval(f0.Node(), known)
+	b, known := g.cutEval(f1.Node(), known)
+	if f0.IsCompl() {
+		a = ^a
+	}
+	if f1.IsCompl() {
+		b = ^b
+	}
+	return a & b, append(known, cutNode{id, a & b})
+}
+
+// cutTTWide is CutTT for any number of leaves, one table per cone node.
+func (g *AIG) cutTTWide(root int, leaves []int) tt.TT {
 	n := len(leaves)
 	local := make(map[int]tt.TT, len(leaves)*2)
 	for i, leaf := range leaves {

@@ -94,24 +94,13 @@ func copyNames(from, to *aig.AIG) {
 	}
 }
 
-// oldLeafLits wraps old-graph node ids as plain literals for cost
-// estimation against the old graph.
-func oldLeafLits(leaves []int) []aig.Lit {
-	lits := make([]aig.Lit, len(leaves))
-	for i, id := range leaves {
-		lits[i] = aig.MakeLit(id, false)
+// oldLeafLits appends old-graph node ids to dst as plain literals for
+// cost estimation against the old graph.
+func oldLeafLits(dst []aig.Lit, leaves []int) []aig.Lit {
+	for _, id := range leaves {
+		dst = append(dst, aig.MakeLit(id, false))
 	}
-	return lits
-}
-
-// boundarySet builds the protected-leaf set used in bounded MFFC
-// computations.
-func boundarySet(leaves []int) map[int]bool {
-	b := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		b[l] = true
-	}
-	return b
+	return dst
 }
 
 // keepSmaller returns the candidate when it improves on (or, when

@@ -38,6 +38,7 @@ func RefactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 func refactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 	refs := g.RefCounts()
 	decisions := make(map[int]decision)
+	var litBuf [16]aig.Lit
 	maxLeaves := opts.maxLeaves()
 
 	for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
@@ -48,8 +49,7 @@ func refactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 		if len(leaves) < 3 || len(leaves) > maxLeaves+1 {
 			continue
 		}
-		boundary := boundarySet(leaves)
-		saved := g.MFFCSizeBounded(id, refs, boundary)
+		saved := g.MFFCSizeBounded(id, refs, leaves)
 		if saved < 2 && !opts.ZeroCost {
 			continue // nothing worth restructuring
 		}
@@ -66,8 +66,8 @@ func refactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 			dec = litDecision(cLeaves[0], cf.Equal(tt.Var(0, 1).Not()))
 		default:
 			mini := factoredStructure(cf)
-			blocked := blockedSet(g, id, refs, boundary)
-			cost = synth.InstantiateCostBlocked(g, mini, oldLeafLits(cLeaves), blocked)
+			blocked := g.MFFCNodesBounded(id, refs, leaves)
+			cost = synth.InstantiateCostBlocked(g, mini, oldLeafLits(litBuf[:0], cLeaves), blocked)
 			dec = decision{mini: mini, leaves: cLeaves}
 		}
 		gain := saved - cost

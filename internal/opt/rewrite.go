@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"repro/internal/aig"
 	"repro/internal/synth"
 	"repro/internal/tt"
@@ -40,6 +42,7 @@ func rewriteOnce(g *aig.AIG, opts RewriteOptions) *aig.AIG {
 	cuts := g.EnumerateCuts(aig.CutParams{K: opts.k(), MaxCuts: opts.MaxCuts})
 	refs := g.RefCounts()
 	decisions := make(map[int]decision)
+	var litBuf [6]aig.Lit
 
 	for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
 		if refs[id] == 0 {
@@ -52,8 +55,7 @@ func rewriteOnce(g *aig.AIG, opts RewriteOptions) *aig.AIG {
 			if len(cut.Leaves) < 2 || (len(cut.Leaves) == 1 && cut.Leaves[0] == id) {
 				continue
 			}
-			boundary := boundarySet(cut.Leaves)
-			saved := g.MFFCSizeBounded(id, refs, boundary)
+			saved := g.MFFCSizeBounded(id, refs, cut.Leaves)
 			if saved <= 0 {
 				continue
 			}
@@ -77,8 +79,8 @@ func rewriteOnce(g *aig.AIG, opts RewriteOptions) *aig.AIG {
 				cost = 0
 			default:
 				mini := synth.LibraryStructure(cf)
-				blocked := blockedSet(g, id, refs, boundary)
-				cost = synth.InstantiateCostBlocked(g, mini, oldLeafLits(leaves), blocked)
+				blocked := g.MFFCNodesBounded(id, refs, cut.Leaves)
+				cost = synth.InstantiateCostBlocked(g, mini, oldLeafLits(litBuf[:0], leaves), blocked)
 				dec = decision{mini: mini, leaves: leaves}
 			}
 			gain := saved - cost
@@ -113,10 +115,10 @@ func Rewrite(g *aig.AIG, opts RewriteOptions) *aig.AIG {
 // compactCut removes cut leaves the function does not depend on and
 // shrinks the truth table accordingly.
 func compactCut(leaves []int, f tt.TT) ([]int, tt.TT) {
-	support := f.Support()
-	if len(support) == len(leaves) {
+	if f.SupportSize() == len(leaves) {
 		return leaves, f
 	}
+	support := f.Support()
 	kept := make([]int, len(support))
 	perm := make([]int, 0, f.NumVars())
 	for i, v := range support {
@@ -125,7 +127,7 @@ func compactCut(leaves []int, f tt.TT) ([]int, tt.TT) {
 	}
 	// Route support variable v to position i, dead variables to the tail.
 	for v := 0; v < f.NumVars(); v++ {
-		if !contains(support, v) {
+		if !slices.Contains(support, v) {
 			perm = append(perm, v)
 		}
 	}
@@ -136,29 +138,9 @@ func compactCut(leaves []int, f tt.TT) ([]int, tt.TT) {
 	return kept, g.Shrink(len(support))
 }
 
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // constDecision replaces a node by a constant.
 func constDecision(v bool) decision {
 	mini := aig.New(0)
 	mini.AddPO(aig.LitFalse.NotCond(v))
 	return decision{mini: mini, leaves: nil}
-}
-
-// blockedSet collects the bounded-MFFC interior of id: nodes scheduled
-// for removal must not be counted as shareable during cost estimation.
-func blockedSet(g *aig.AIG, id int, refs []int, boundary map[int]bool) map[int]bool {
-	nodes := g.MFFCNodesBounded(id, refs, boundary)
-	b := make(map[int]bool, len(nodes))
-	for _, n := range nodes {
-		b[n] = true
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"slices"
+
 	"repro/internal/aig"
 	"repro/internal/tt"
 )
@@ -101,14 +103,22 @@ func InstantiateCost(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit) int {
 	return InstantiateCostBlocked(dst, mini, leaves, nil)
 }
 
-// InstantiateCostBlocked is InstantiateCost with a set of dst node ids
+// InstantiateCostBlocked is InstantiateCost with a list of dst node ids
 // that must not count as shareable — typically the MFFC about to be
-// removed by the replacement whose cost is being estimated.
-func InstantiateCostBlocked(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit, blocked map[int]bool) int {
+// removed by the replacement whose cost is being estimated. The list is
+// short and searched linearly.
+func InstantiateCostBlocked(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit, blocked []int) int {
 	if mini.NumPIs() != len(leaves) {
 		panic("synth: InstantiateCost leaf count mismatch")
 	}
-	m := make([]aig.Lit, mini.NumObjs())
+	// Library and factored structures are small: map them on the stack.
+	var buf [64]aig.Lit
+	m := buf[:0]
+	if n := mini.NumObjs(); n <= len(buf) {
+		m = buf[:n]
+	} else {
+		m = make([]aig.Lit, n)
+	}
 	m[0] = aig.LitFalse
 	for i := 0; i < mini.NumPIs(); i++ {
 		m[i+1] = leaves[i]
@@ -119,7 +129,7 @@ func InstantiateCostBlocked(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit, block
 		f0, f1 := mini.Fanins(id)
 		a := m[f0.Node()].NotCond(f0.IsCompl())
 		b := m[f1.Node()].NotCond(f1.IsCompl())
-		if l, ok := dst.Lookup(a, b); ok && !blocked[l.Node()] {
+		if l, ok := dst.Lookup(a, b); ok && !slices.Contains(blocked, l.Node()) {
 			m[id] = l
 			continue
 		}

@@ -70,22 +70,22 @@ func permutations(n int) [][]int {
 	return out
 }
 
-var permCache = map[int][][]int{}
-
-func allPerms(n int) [][]int {
-	if p, ok := permCache[n]; ok {
-		return p
+// permTable holds permutations(n) for every n NPNCanon accepts. It is
+// built once at package init, so concurrent canonicalizations only read.
+var permTable = func() (p [7][][]int) {
+	for n := range p {
+		p[n] = permutations(n)
 	}
-	p := permutations(n)
-	permCache[n] = p
 	return p
-}
+}()
 
 // NPNCanon computes the NPN-canonical representative of t by exhaustive
 // enumeration over input negations, input permutations, and output
 // negation, choosing the lexicographically smallest truth table. It is
 // intended for small functions (<= 6 variables; the 4-variable case used
-// by rewriting enumerates 768 transforms).
+// by rewriting enumerates 768 transforms). Every candidate is a single
+// word, so the enumeration allocates nothing; ties keep the first
+// candidate in flips x permutation x output order.
 //
 // The returned transform satisfies canon == transform.Apply(t) and
 // t == transform.Inverse().Apply(canon).
@@ -94,42 +94,34 @@ func NPNCanon(t TT) (canon TT, transform NPNTransform) {
 	if n > 6 {
 		panic(fmt.Sprintf("tt: NPNCanon limited to 6 variables, got %d", n))
 	}
-	best := TT{}
-	var bestX NPNTransform
-	have := false
+	top := topMask(n)
+	w := t.words[0]
+	var best uint64
+	var bestPerm []int
+	var bestFlips uint32
+	bestOut, have := false, false
 
 	for flips := uint32(0); flips < 1<<uint(n); flips++ {
-		flipped := t
+		flipped := w
 		for v := 0; v < n; v++ {
 			if flips>>uint(v)&1 == 1 {
-				flipped = flipped.FlipVar(v)
+				flipped = flipWord(flipped, v)
 			}
 		}
-		for _, perm := range allPerms(n) {
-			p := flipped.Permute(perm)
+		for _, perm := range permTable[n] {
+			p := permuteWord(flipped, perm)
 			for out := 0; out < 2; out++ {
 				cand := p
 				if out == 1 {
-					cand = p.Not()
+					cand = ^p & top
 				}
-				if !have || lessTT(cand, best) {
-					best = cand
-					bestX = NPNTransform{Perm: append([]int(nil), perm...), Flips: flips, OutFlip: out == 1}
+				if !have || cand < best {
+					best, bestPerm, bestFlips, bestOut = cand, perm, flips, out == 1
 					have = true
 				}
 			}
 		}
 	}
-	return best, bestX
-}
-
-// lessTT orders truth tables lexicographically by their words
-// (most-significant word first).
-func lessTT(a, b TT) bool {
-	for i := len(a.words) - 1; i >= 0; i-- {
-		if a.words[i] != b.words[i] {
-			return a.words[i] < b.words[i]
-		}
-	}
-	return false
+	return FromWords(n, []uint64{best}),
+		NPNTransform{Perm: append([]int(nil), bestPerm...), Flips: bestFlips, OutFlip: bestOut}
 }

@@ -122,6 +122,43 @@ func topMask(n int) uint64 {
 	return (uint64(1) << (1 << n)) - 1
 }
 
+// flipWord is FlipVar(v) on one word, for v < 6.
+func flipWord(w uint64, v int) uint64 {
+	shift := uint(1) << v
+	mask := varMasks[v]
+	return (w&mask)>>shift | (w&^mask)<<shift
+}
+
+// permuteWord is Permute on a single-word table over len(perm) variables.
+// It realizes perm as a sequence of adjacent variable swaps (at most 15
+// for six variables): position i receives original variable perm[i] by
+// bubbling it down from wherever earlier swaps left it.
+func permuteWord(w uint64, perm []int) uint64 {
+	var at [6]int // at[i]: the original variable now at position i
+	for i := range perm {
+		at[i] = i
+	}
+	for i, p := range perm {
+		j := i
+		for at[j] != p {
+			j++
+		}
+		for ; j > i; j-- {
+			w = swapWord(w, j-1)
+			at[j-1], at[j] = at[j], at[j-1]
+		}
+	}
+	return w
+}
+
+// swapWord is SwapAdjacent(v) on one word, for v+1 < 6.
+func swapWord(w uint64, v int) uint64 {
+	shift := uint(1) << v
+	lo := varMasks[v] &^ varMasks[v+1] // v=1, v+1=0 bits
+	hi := varMasks[v+1] &^ varMasks[v] // v=0, v+1=1 bits
+	return w&^(lo|hi) | (w&lo)<<shift | (w&hi)>>shift
+}
+
 // NumVars returns the number of variables of the table.
 func (t TT) NumVars() int { return t.nvars }
 
@@ -290,14 +327,38 @@ func (t TT) Cofactor(v int, val bool) TT {
 	return r
 }
 
-// HasVar reports whether the function depends on variable v.
+// HasVar reports whether the function depends on variable v: whether
+// some minterm with v clear differs from its partner with v set. It
+// compares words in place and allocates nothing.
 func (t TT) HasVar(v int) bool {
-	return !t.Cofactor(v, false).Equal(t.Cofactor(v, true))
+	if v < 0 || v >= t.nvars {
+		panic(fmt.Sprintf("tt: variable %d out of range for %d inputs", v, t.nvars))
+	}
+	if v < 6 {
+		// Partners sit 2^v bits apart inside each word.
+		shift := uint(1) << v
+		for _, w := range t.words {
+			if (w>>shift^w)&^varMasks[v] != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	// Partners sit 2^(v-6) words apart.
+	period := 1 << (v - 6)
+	for base := 0; base < len(t.words); base += 2 * period {
+		for k := 0; k < period; k++ {
+			if t.words[base+k] != t.words[base+period+k] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Support returns the indices of variables the function depends on.
 func (t TT) Support() []int {
-	var s []int
+	s := make([]int, 0, t.nvars)
 	for v := 0; v < t.nvars; v++ {
 		if t.HasVar(v) {
 			s = append(s, v)
@@ -307,7 +368,15 @@ func (t TT) Support() []int {
 }
 
 // SupportSize returns the number of variables the function depends on.
-func (t TT) SupportSize() int { return len(t.Support()) }
+func (t TT) SupportSize() int {
+	n := 0
+	for v := 0; v < t.nvars; v++ {
+		if t.HasVar(v) {
+			n++
+		}
+	}
+	return n
+}
 
 // FlipVar returns the table with variable v complemented.
 func (t TT) FlipVar(v int) TT {
@@ -316,10 +385,8 @@ func (t TT) FlipVar(v int) TT {
 	}
 	r := t.Clone()
 	if v < 6 {
-		shift := uint(1) << v
-		mask := varMasks[v]
 		for i, w := range r.words {
-			r.words[i] = (w&mask)>>shift | (w&^mask)<<shift
+			r.words[i] = flipWord(w, v)
 		}
 	} else {
 		period := 1 << (v - 6)
@@ -341,12 +408,8 @@ func (t TT) SwapAdjacent(v int) TT {
 	switch {
 	case v+1 < 6:
 		// Both variables live inside each word.
-		shift := uint(1) << v
-		loMask := varMasks[v] &^ varMasks[v+1] // v=1, v+1=0 bits
-		hiMask := varMasks[v+1] &^ varMasks[v] // v=0, v+1=1 bits
-		keep := ^(loMask | hiMask)
 		for i, w := range r.words {
-			r.words[i] = w&keep | (w&loMask)<<shift | (w&hiMask)>>shift
+			r.words[i] = swapWord(w, v)
 		}
 	case v >= 6:
 		// Both variables select word indices.
@@ -377,6 +440,9 @@ func (t TT) SwapAdjacent(v int) TT {
 func (t TT) Permute(perm []int) TT {
 	if len(perm) != t.nvars {
 		panic("tt: permutation length mismatch")
+	}
+	if t.nvars <= 6 {
+		return FromWords(t.nvars, []uint64{permuteWord(t.words[0], perm)})
 	}
 	r := New(t.nvars)
 	for m := 0; m < t.NumBits(); m++ {

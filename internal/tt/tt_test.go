@@ -181,6 +181,88 @@ func TestPermuteComposition(t *testing.T) {
 	}
 }
 
+// permuteDefinition is Permute bit by bit: minterm m of the result reads
+// the minterm of t whose bit perm[i] is bit i of m.
+func permuteDefinition(t TT, perm []int) TT {
+	r := New(t.NumVars())
+	for m := 0; m < t.NumBits(); m++ {
+		src := 0
+		for i, p := range perm {
+			src |= (m >> uint(i) & 1) << uint(p)
+		}
+		r.SetBit(m, t.Bit(src))
+	}
+	return r
+}
+
+func TestPermuteMatchesDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for n := 0; n <= 6; n++ {
+		for _, perm := range permutations(n) {
+			f := Random(n, r)
+			if got, want := f.Permute(perm), permuteDefinition(f, perm); !got.Equal(want) {
+				t.Fatalf("n=%d perm=%v: Permute(%s) = %s, want %s", n, perm, f.Hex(), got.Hex(), want.Hex())
+			}
+		}
+	}
+	for n := 7; n <= 8; n++ {
+		for trial := 0; trial < 20; trial++ {
+			f, perm := Random(n, r), r.Perm(n)
+			if !f.Permute(perm).Equal(permuteDefinition(f, perm)) {
+				t.Fatalf("n=%d perm=%v: Permute disagrees with its definition", n, perm)
+			}
+		}
+	}
+}
+
+// TestHasVarMatchesCofactors pins HasVar and Support to the cofactor
+// definition on both the single-word and the multi-word path.
+func TestHasVarMatchesCofactors(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for n := 0; n <= 8; n++ {
+		for trial := 0; trial < 200; trial++ {
+			f := Random(n, r)
+			if trial%4 == 0 && n > 0 {
+				// Random tables depend on every variable; drop some.
+				f = f.Cofactor(r.Intn(n), r.Intn(2) == 1)
+			}
+			var want []int
+			for v := 0; v < n; v++ {
+				dep := !f.Cofactor(v, false).Equal(f.Cofactor(v, true))
+				if f.HasVar(v) != dep {
+					t.Fatalf("n=%d: HasVar(%d) on %s = %v, want %v", n, v, f.Hex(), !dep, dep)
+				}
+				if dep {
+					want = append(want, v)
+				}
+			}
+			got := f.Support()
+			if len(got) != len(want) {
+				t.Fatalf("n=%d: Support(%s) = %v, want %v", n, f.Hex(), got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d: Support(%s) = %v, want %v", n, f.Hex(), got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestHasVarAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for _, n := range []int{4, 6, 9} {
+		f := Random(n, r)
+		if a := testing.AllocsPerRun(100, func() {
+			for v := 0; v < n; v++ {
+				f.HasVar(v)
+			}
+		}); a != 0 {
+			t.Errorf("HasVar on %d variables: %v allocs, want 0", n, a)
+		}
+	}
+}
+
 func TestExpandShrink(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for n := 1; n <= 7; n++ {
@@ -267,4 +349,5 @@ func TestPanics(t *testing.T) {
 	assertPanics("Var out of range", func() { Var(3, 3) })
 	assertPanics("mixed sizes", func() { Var(0, 3).And(Var(0, 4)) })
 	assertPanics("Shrink live var", func() { Var(3, 4).Shrink(3) })
+	assertPanics("HasVar out of range", func() { Var(0, 3).HasVar(3) })
 }
