@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -161,6 +162,32 @@ func BenchmarkFlows(b *testing.B) {
 		b.Run(flow.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				flow.Run(g, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkSpecFlows runs the three flows on the seven recipes' variants
+// of one suite spec, the unit of work the harness gives one pass memo:
+// "fresh" runs every pass, "memo" shares one opt.PassMemo per op.
+func BenchmarkSpecFlows(b *testing.B) {
+	spec := workload.FilterByInputs(workload.Suite(2024), 6)[0]
+	var variants []*aig.AIG
+	for _, rec := range synth.Recipes() {
+		variants = append(variants, rec.Build(spec.Outputs))
+	}
+	for _, memo := range []bool{false, true} {
+		b.Run(map[bool]string{false: "fresh", true: "memo"}[memo], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ctx := context.Background()
+				if memo {
+					ctx = opt.WithPassMemo(ctx)
+				}
+				for vi, g := range variants {
+					for _, flow := range opt.Flows() {
+						flow.RunCtx(ctx, g, int64(vi))
+					}
+				}
 			}
 		})
 	}

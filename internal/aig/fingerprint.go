@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 )
 
 // Fingerprint returns the canonical structural hash of g as a hex
@@ -80,4 +81,51 @@ func (g *AIG) Fingerprint() string {
 	}
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
+}
+
+// StructHash returns a 64-bit hash of g's exact storage: the PI count,
+// every AND node's fanin pair in node-id order (dead nodes included)
+// and the PO literals. Unlike Fingerprint it depends on node numbering,
+// because the optimization passes do: it is the lookup key for results
+// computed from exactly this graph. Names are left out; SameStructure,
+// which every lookup must confirm a hash match with, compares them.
+func (g *AIG) StructHash() uint64 {
+	const prime = 1099511628211 // FNV-1a over 64-bit words
+	h := uint64(14695981039346656037)
+	h = (h ^ uint64(g.numPIs)) * prime
+	h = (h ^ uint64(len(g.fanin0))) * prime
+	for id := g.numPIs + 1; id < len(g.fanin0); id++ {
+		h = (h ^ (uint64(g.fanin0[id])<<32 | uint64(g.fanin1[id]))) * prime
+	}
+	h = (h ^ uint64(len(g.pos))) * prime
+	for _, l := range g.pos {
+		h = (h ^ uint64(l)) * prime
+	}
+	return h
+}
+
+// SameStructure reports whether a and b are the same graph to every
+// reader: equal PI counts, identical fanins node by node, identical PO
+// literals, and equal PI and PO names as PIName and POName return them
+// (an unset name equals an empty one). Levels follow from the fanins;
+// whether either graph is frozen is not compared.
+func SameStructure(a, b *AIG) bool {
+	if a == b {
+		return true
+	}
+	if a.numPIs != b.numPIs || !slices.Equal(a.fanin0, b.fanin0) ||
+		!slices.Equal(a.fanin1, b.fanin1) || !slices.Equal(a.pos, b.pos) {
+		return false
+	}
+	for i := 0; i < a.numPIs; i++ {
+		if a.PIName(i) != b.PIName(i) {
+			return false
+		}
+	}
+	for i := range a.pos {
+		if a.POName(i) != b.POName(i) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,9 @@
 package aig
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestFingerprintOrderIndependent: the same reachable structure built in
 // different node-creation orders must fingerprint identically.
@@ -67,5 +70,51 @@ func TestFingerprintDistinguishes(t *testing.T) {
 			t.Errorf("%s and %s collide on fingerprint %s", prev, name, fp)
 		}
 		seen[fp] = name
+	}
+}
+
+// TestSameStructureExact: clones are SameStructure and hash equally;
+// changing one fanin, one PO literal, the PI count or one PI or PO name
+// makes them differ. StructHash must follow the fanin, PO and PI-count
+// changes (names are SameStructure's alone).
+func TestSameStructureExact(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	base := randomAIG(5, 30, r)
+	base.SetPIName(0, "a")
+	base.SetPOName(1, "y")
+
+	clone := base.Clone()
+	if !SameStructure(base, clone) || base.StructHash() != clone.StructHash() {
+		t.Fatal("clone is not the same structure")
+	}
+	if !SameStructure(base, base.Frozen()) {
+		t.Fatal("frozen copy is not the same structure")
+	}
+	unset := base.Clone()
+	unset.SetPIName(3, "") // an explicitly empty name reads as unset
+	if !SameStructure(base, unset) {
+		t.Fatal("an empty name differs from an unset one")
+	}
+
+	last := base.NumObjs() - 1
+	for _, tc := range []struct {
+		name       string
+		mutate     func(g *AIG) *AIG
+		hashDiffer bool
+	}{
+		{"fanin", func(g *AIG) *AIG { g.fanin1[last] ^= 1; return g }, true},
+		{"po literal", func(g *AIG) *AIG { g.pos[0] ^= 1; return g }, true},
+		{"extra po", func(g *AIG) *AIG { g.AddPO(LitTrue); return g }, true},
+		{"pi count", func(g *AIG) *AIG { g.numPIs++; return g }, true}, // same arrays, one more PI
+		{"pi name", func(g *AIG) *AIG { g.SetPIName(0, "b"); return g }, false},
+		{"po name", func(g *AIG) *AIG { g.SetPOName(0, "x"); return g }, false},
+	} {
+		m := tc.mutate(base.Clone())
+		if SameStructure(base, m) || SameStructure(m, base) {
+			t.Errorf("%s: differing graphs reported as the same structure", tc.name)
+		}
+		if tc.hashDiffer && base.StructHash() == m.StructHash() {
+			t.Errorf("%s: StructHash unchanged", tc.name)
+		}
 	}
 }

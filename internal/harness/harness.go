@@ -316,8 +316,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // runSpec computes one spec's variants (with per-variant panic
-// isolation and equivalence guards) and its pairwise samples.
+// isolation and equivalence guards) and its pairwise samples. All of the
+// spec's variants and flows share one opt.PassMemo, which is dropped
+// when the spec is done.
 func (c Config) runSpec(ctx context.Context, spec workload.Spec, recipes []synth.Recipe, flows []opt.Flow, metrics []simil.Metric) (SpecRun, []PairSample, []Failure) {
+	ctx = opt.WithPassMemo(ctx)
 	run := SpecRun{
 		Name:     spec.Name,
 		Category: spec.Category,

@@ -66,6 +66,13 @@ func TestRunRecordsTelemetry(t *testing.T) {
 	if got := reg.Counter("harness/rods").Value(); got != wantRods {
 		t.Errorf("rods = %d, want %d", got, wantRods)
 	}
+	// A spec's variants and flows share one pass memo; every pass
+	// repeats some input within a spec of this run.
+	for _, name := range []string{"opt/rewrite/memo_hits", "opt/refactor/memo_hits", "opt/resub/memo_hits", "opt/balance/memo_hits"} {
+		if got := reg.Counter(name).Value(); got <= 0 {
+			t.Errorf("%s = %d, want > 0", name, got)
+		}
+	}
 	// Every stage bucket must have recorded spans, and their sum must
 	// be positive and bounded by the run span.
 	_, runSec := reg.SpanSeconds("harness/run")

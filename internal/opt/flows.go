@@ -65,8 +65,10 @@ func RunFlowContext(ctx context.Context, name string, g *aig.AIG, seed int64) (*
 // the paper reports orchestration favoring heavily), then rewriting and
 // refactoring, and commits the round's best reduction, so the operator
 // mix adapts to the circuit. Rounds stop at convergence, after
-// maxRounds, or when ctx is done (returning the best AIG so far).
+// maxRounds, or when ctx is done (returning the best AIG so far). Passes
+// go through the PassMemo attached to ctx, if any.
 func Orchestrate(ctx context.Context, g *aig.AIG, maxRounds int) *aig.AIG {
+	m := passMemoFrom(ctx)
 	cur := g
 	for round := 0; round < maxRounds; round++ {
 		if ctx.Err() != nil {
@@ -75,14 +77,14 @@ func Orchestrate(ctx context.Context, g *aig.AIG, maxRounds int) *aig.AIG {
 		telemetry.Add("flow/orchestrate/rounds", 1)
 		// Resubstitution gets the first shot and is kept whenever it
 		// makes progress; the structural operators compete otherwise.
-		rs := ResubOnce(cur, ResubOptions{MaxDivisors: 150})
+		rs := m.ResubOnce(cur, ResubOptions{MaxDivisors: 150})
 		if rs.NumAnds() < cur.NumAnds() {
 			cur = rs
 			continue
 		}
 		candidates := []*aig.AIG{
-			RewriteOnce(cur, RewriteOptions{}),
-			RefactorOnce(cur, RefactorOptions{}),
+			m.RewriteOnce(cur, RewriteOptions{}),
+			m.RefactorOnce(cur, RefactorOptions{}),
 		}
 		best := cur
 		for _, c := range candidates {
@@ -94,13 +96,13 @@ func Orchestrate(ctx context.Context, g *aig.AIG, maxRounds int) *aig.AIG {
 			// Plateau: reshape with balancing and zero-cost rewriting to
 			// expose new cuts; if still stuck, escape the local minimum
 			// with a LUT map/resynthesis round trip before giving up.
-			shaken := ResubOnce(RewriteOnce(Balance(cur), RewriteOptions{ZeroCost: true}), ResubOptions{})
-			shaken = RefactorOnce(shaken, RefactorOptions{})
+			shaken := m.ResubOnce(m.RewriteOnce(m.Balance(cur), RewriteOptions{ZeroCost: true}), ResubOptions{})
+			shaken = m.RefactorOnce(shaken, RefactorOptions{})
 			if shaken.NumAnds() < cur.NumAnds() {
 				cur = shaken
 				continue
 			}
-			escaped := DC2(lutmap.RoundTrip(cur, lutmap.Options{K: 6}))
+			escaped := m.DC2(lutmap.RoundTrip(cur, lutmap.Options{K: 6}))
 			if escaped.NumAnds() < cur.NumAnds() {
 				cur = escaped
 				continue
@@ -114,15 +116,16 @@ func Orchestrate(ctx context.Context, g *aig.AIG, maxRounds int) *aig.AIG {
 
 // DC2Converge iterates the dc2 script until the AND count stops
 // improving — the "high-effort" usage of dc2 in practice — or ctx is
-// done.
+// done. Passes go through the PassMemo attached to ctx, if any.
 func DC2Converge(ctx context.Context, g *aig.AIG) *aig.AIG {
+	m := passMemoFrom(ctx)
 	cur := g
 	for i := 0; i < 8; i++ {
 		if ctx.Err() != nil {
 			return cur
 		}
 		telemetry.Add("flow/dc2/iterations", 1)
-		next := DC2(cur)
+		next := m.DC2(cur)
 		if next.NumAnds() >= cur.NumAnds() {
 			return cur
 		}
@@ -134,16 +137,21 @@ func DC2Converge(ctx context.Context, g *aig.AIG) *aig.AIG {
 // DC2 runs the classic ABC dc2 script: b; rw; rf; b; rw; rwz; b; rfz;
 // rwz; b.
 func DC2(g *aig.AIG) *aig.AIG {
-	cur := Balance(g)
-	cur = RewriteOnce(cur, RewriteOptions{})
-	cur = RefactorOnce(cur, RefactorOptions{})
-	cur = Balance(cur)
-	cur = RewriteOnce(cur, RewriteOptions{})
-	cur = RewriteOnce(cur, RewriteOptions{ZeroCost: true})
-	cur = Balance(cur)
-	cur = RefactorOnce(cur, RefactorOptions{ZeroCost: true})
-	cur = RewriteOnce(cur, RewriteOptions{ZeroCost: true})
-	cur = Balance(cur)
+	return (*PassMemo)(nil).DC2(g)
+}
+
+// DC2 is DC2 with every pass through the memo.
+func (m *PassMemo) DC2(g *aig.AIG) *aig.AIG {
+	cur := m.Balance(g)
+	cur = m.RewriteOnce(cur, RewriteOptions{})
+	cur = m.RefactorOnce(cur, RefactorOptions{})
+	cur = m.Balance(cur)
+	cur = m.RewriteOnce(cur, RewriteOptions{})
+	cur = m.RewriteOnce(cur, RewriteOptions{ZeroCost: true})
+	cur = m.Balance(cur)
+	cur = m.RefactorOnce(cur, RefactorOptions{ZeroCost: true})
+	cur = m.RewriteOnce(cur, RewriteOptions{ZeroCost: true})
+	cur = m.Balance(cur)
 	return keepSmaller(g, cur, true)
 }
 
@@ -161,25 +169,27 @@ type DeepSynOptions struct {
 // restructuring move), or operator combinations — keeping the best AIG
 // seen and restarting from it when the working copy drifts too far.
 // When ctx is done, the search stops and returns the best AIG so far.
+// Passes go through the PassMemo attached to ctx, if any.
 func DeepSyn(ctx context.Context, g *aig.AIG, opts DeepSynOptions) *aig.AIG {
 	effort := opts.Effort
 	if effort <= 0 {
 		effort = 10
 	}
+	m := passMemoFrom(ctx)
 	r := rand.New(rand.NewSource(opts.Seed))
 	best := g
 	cur := g
 	moves := []func(*aig.AIG) *aig.AIG{
-		func(a *aig.AIG) *aig.AIG { return DC2(a) },
+		m.DC2,
 		func(a *aig.AIG) *aig.AIG { return lutmap.RoundTrip(a, lutmap.Options{K: 4}) },
 		func(a *aig.AIG) *aig.AIG { return lutmap.RoundTrip(a, lutmap.Options{K: 6}) },
 		func(a *aig.AIG) *aig.AIG {
-			return ResubOnce(RewriteOnce(a, RewriteOptions{ZeroCost: true}), ResubOptions{})
+			return m.ResubOnce(m.RewriteOnce(a, RewriteOptions{ZeroCost: true}), ResubOptions{})
 		},
 		func(a *aig.AIG) *aig.AIG {
-			return RefactorOnce(ResubOnce(a, ResubOptions{ZeroCost: true}), RefactorOptions{})
+			return m.RefactorOnce(m.ResubOnce(a, ResubOptions{ZeroCost: true}), RefactorOptions{})
 		},
-		func(a *aig.AIG) *aig.AIG { return Balance(RewriteOnce(a, RewriteOptions{})) },
+		func(a *aig.AIG) *aig.AIG { return m.Balance(m.RewriteOnce(a, RewriteOptions{})) },
 	}
 	for i := 0; i < effort; i++ {
 		if ctx.Err() != nil {

@@ -10,33 +10,12 @@ import (
 	"repro/internal/tt"
 )
 
-// sameStructure reports whether a and b are the same AIG node for node:
-// equal PI counts, fanins of every AND and output literals.
-func sameStructure(a, b *aig.AIG) bool {
-	if a.NumPIs() != b.NumPIs() || a.NumObjs() != b.NumObjs() || a.NumPOs() != b.NumPOs() {
-		return false
-	}
-	for id := a.NumPIs() + 1; id < a.NumObjs(); id++ {
-		a0, a1 := a.Fanins(id)
-		b0, b1 := b.Fanins(id)
-		if a0 != b0 || a1 != b1 {
-			return false
-		}
-	}
-	for i := 0; i < a.NumPOs(); i++ {
-		if a.PO(i) != b.PO(i) {
-			return false
-		}
-	}
-	return true
-}
-
 // checkFactored asserts that the memoized structure for f is the one a
 // fresh computation builds and that it implements f.
 func checkFactored(t *testing.T, f tt.TT) {
 	t.Helper()
 	got := factoredStructure(f)
-	if !sameStructure(got, buildFactored(f)) {
+	if !aig.SameStructure(got, buildFactored(f)) {
 		t.Fatalf("%d-var %s: memoized structure differs from a fresh build", f.NumVars(), f.Hex())
 	}
 	if !got.OutputTTs()[0].Equal(f) {
@@ -139,7 +118,7 @@ func TestPassesLeaveSharedStructuresUnchanged(t *testing.T) {
 		} {
 			mustEquiv(t, p.name, g, p.run(g))
 			for i, s := range shared {
-				if !sameStructure(s, snaps[i]) {
+				if !aig.SameStructure(s, snaps[i]) {
 					t.Fatalf("trial %d: %s modified shared structure %d", trial, p.name, i)
 				}
 			}
@@ -169,7 +148,7 @@ func TestRefactorConcurrent(t *testing.T) {
 	for w, got := range results {
 		g := graphs[w%len(graphs)]
 		mustEquiv(t, "refactor", g, got)
-		if !sameStructure(got, RefactorOnce(g, RefactorOptions{})) {
+		if !aig.SameStructure(got, RefactorOnce(g, RefactorOptions{})) {
 			t.Fatalf("worker %d: concurrent refactor differs from the serial result", w)
 		}
 	}
